@@ -53,8 +53,8 @@ func (w *bitWriter) flushWord() {
 	w.nbit = 0
 }
 
-// bitWriterPool recycles encode-side writers: the zfp/zfp2d encoders burn
-// one writer (and its grown buffer) per chunk, which dominated the chunked
+// bitWriterPool recycles encode-side writers: the zfp encoder burns one
+// writer (and its grown buffer) per chunk, which dominated the chunked
 // encode path's allocation count. reset reclaims the retained buffer; the
 // encoder copies the finished stream out before Put, so pooled buffers never
 // alias returned payloads.

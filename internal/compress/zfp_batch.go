@@ -6,16 +6,16 @@ import (
 	"math/bits"
 )
 
-// Batch bit-plane decoding for the zfp-like coders (1D and 2D).
+// Batch bit-plane decoding for the zfp-like coder.
 //
-// The scalar decoders in zfp.go / zfp2d.go walk the embedded bit-plane
-// stream one bit at a time: every group-test bit, every zero of a
+// The scalar decoder in zfp.go walks the embedded bit-plane stream one bit
+// at a time: every group-test bit, every zero of a
 // significance run, and every raw coefficient bit is a readBit call with a
 // branchy byte-sized refill behind it, and the reader state round-trips
 // through memory on every call. That per-bit control flow — not the
 // arithmetic — is what pinned zfp decode near 75 MB/s while raw moved GB/s.
 //
-// The batch decoders below keep the stream format bit-identical and decode
+// The batch decoder below keeps the stream format bit-identical and decodes
 // many blocks per call with the bit buffer, bit count, and byte position
 // held in locals (registers) for the whole payload. Three mechanisms do the
 // work (DESIGN.md §14):
@@ -23,48 +23,36 @@ import (
 //  1. Word-level bitstream reads: the 64-bit bit buffer refills with one
 //     unaligned load per ~6 bytes consumed, and a refill at a block or
 //     plane boundary guarantees the whole unit — 19 header bits, or a
-//     worst-case valid plane (12 bits for 1D, 33 for 2D) — decodes out of
-//     the register with no further bounds checks.
+//     worst-case valid plane (12 bits) — decodes out of the register with
+//     no further bounds checks.
 //  2. Branchless significance runs: a run of zeros terminated by a one is
 //     counted with a single TrailingZeros64 on the buffered word and
 //     consumed in one shift, instead of one readBit per zero. Once every
 //     coefficient of a block is significant, each remaining plane is a
 //     single masked extract.
 //  3. Table-driven plane accumulation: each decoded plane is spread into
-//     per-coefficient bit lanes through a small table (16-entry for the
-//     four 1D lanes, 256-entry twice for the sixteen 2D lanes) and ORed
-//     into one accumulator word — one shift-or per plane for the whole
-//     block — which is flushed into the per-coefficient negabinary words
-//     every lane-width planes.
+//     per-coefficient bit lanes through a 16-entry table and ORed into one
+//     accumulator word — one shift-or per plane for the whole block — which
+//     is flushed into the per-coefficient negabinary words every
+//     lane-width planes.
 //
 // Rare shapes — the last few bytes of a stream, or corrupt streams that
 // push the significance prefix past the block width or a run past the
 // buffered word — rewind to the block boundary and re-decode that one block
 // with the retained scalar decoder, so batch and scalar decode are bit-exact
 // on *arbitrary* input: valid, truncated, or corrupt. FuzzZFPBatchVsScalar
-// and FuzzZFP2DBatchVsScalar enforce exactly that.
+// enforces exactly that.
 
 // spread4 maps a 4-bit plane to four 16-bit lanes: bit i of the index lands
-// at bit 16*i. spread8 maps an 8-bit half-plane of the 2D coder to eight
-// 4-bit lanes: bit i lands at bit 4*i.
-var (
-	spread4 = func() (t [16]uint64) {
-		for x := range t {
-			for i := 0; i < 4; i++ {
-				t[x] |= uint64(x>>i&1) << (16 * i)
-			}
+// at bit 16*i.
+var spread4 = func() (t [16]uint64) {
+	for x := range t {
+		for i := 0; i < 4; i++ {
+			t[x] |= uint64(x>>i&1) << (16 * i)
 		}
-		return
-	}()
-	spread8 = func() (t [256]uint32) {
-		for x := range t {
-			for i := 0; i < 8; i++ {
-				t[x] |= uint32(x>>i&1) << (4 * i)
-			}
-		}
-		return
-	}()
-)
+	}
+	return
+}()
 
 // compactEven gathers the even-position bits of x into the low half — the
 // Morton-decode half-shuffle. The s==1 batch mode uses it to peel every DC
@@ -82,8 +70,7 @@ func compactEven(x uint64) uint64 {
 
 // zfpPlaneCutoff hoists minPlaneFor's tolerance half out of the per-block
 // loop: minPlane = clamp(bias - e), with the Ilogb computed once per stream
-// instead of once per block. guard is 2 for the 1D coder, 3 for 2D
-// (minPlane2DFor's extra guard bit).
+// instead of once per block. guard is the coder's guard bits (2).
 type zfpPlaneCutoff struct {
 	bias   int
 	hasTol bool
@@ -371,196 +358,4 @@ func zfpDecodeBlocks(r *bitReader, tol float64, out []float64) error {
 	}
 	r.pos, r.cur, r.n = pos, cur, n
 	return nil
-}
-
-// zfp2dDecodeBlocks decodes the whole 4x4-tiled grid payload behind r into
-// out (nx*ny row-major values), the production path behind ZFP2D.DecodeInto.
-// Structure matches zfpDecodeBlocks with sixteen 4-bit accumulator lanes
-// (flushed every 4 planes through the spread8 table) and the separable
-// inverse transform from the scalar decoder.
-func zfp2dDecodeBlocks(r *bitReader, tol float64, out []float64, nx, ny int) error {
-	cut := newPlaneCutoff(tol, 3)
-	buf := r.buf
-	pos, cur, n := r.pos, r.cur, r.n
-
-	var block [16]float64
-	var u [16]uint64
-	for by := 0; by < ny; by += 4 {
-		for bx := 0; bx < nx; bx += 4 {
-			if n <= 56 && pos+8 <= len(buf) {
-				cur |= binary.LittleEndian.Uint64(buf[pos:]) << n
-				k := (63 - n) >> 3
-				pos += int(k)
-				n += k * 8
-			}
-			sPos, sCur, sN := pos, cur, n
-			if n >= 19 {
-				ok := true
-				if cur&1 == 0 {
-					cur >>= 1
-					n--
-					for j := range block {
-						block[j] = 0
-					}
-					scatter2DBlock(out, &block, nx, ny, bx, by)
-					continue
-				}
-				e := int(cur>>1&0xfff) - 2048
-				maxPlane := int(cur >> 13 & 0x3f)
-				cur >>= 19
-				n -= 19
-				minPlane := cut.minPlane(e)
-
-				for j := range u {
-					u[j] = 0
-				}
-				var acc uint64
-				accPlanes := uint(0)
-				s := uint(0)
-				for p := maxPlane; p >= minPlane; p-- {
-					// A worst-case valid plane is raw + group bits + run
-					// bits <= 33 bits; one word refill covers it. Near the
-					// stream tail the word refill may be unavailable —
-					// scalar finishes the block.
-					if n < 34 {
-						if n <= 56 && pos+8 <= len(buf) {
-							cur |= binary.LittleEndian.Uint64(buf[pos:]) << n
-							k := (63 - n) >> 3
-							pos += int(k)
-							n += k * 8
-						} else {
-							ok = false
-							break
-						}
-					}
-					x := cur & (1<<s - 1)
-					cur >>= s
-					n -= s
-					for s < 16 {
-						g := cur & 1
-						cur >>= 1
-						n--
-						if g == 0 {
-							break
-						}
-						if cur == 0 {
-							ok = false
-							break
-						}
-						tz := uint(bits.TrailingZeros64(cur))
-						cur >>= tz + 1
-						n -= tz + 1
-						x |= 1 << (s + tz)
-						s += tz + 1
-					}
-					if !ok || s > 16 {
-						ok = false
-						break
-					}
-					acc = acc<<1 | uint64(spread8[x&0xff]) | uint64(spread8[x>>8&0xff])<<32
-					accPlanes++
-					if accPlanes == 4 {
-						for j := range u {
-							u[j] = u[j]<<4 | acc>>(4*uint(j))&0xf
-						}
-						acc = 0
-						accPlanes = 0
-					}
-					if s == 16 && p > minPlane {
-						// All sixteen coefficients significant: remaining
-						// planes are 16 raw bits each; drain in unchecked
-						// batches (mirrors the 1D nibble mode).
-						rem := p - minPlane
-						for rem > 0 {
-							if n < 56 && pos+8 <= len(buf) {
-								cur |= binary.LittleEndian.Uint64(buf[pos:]) << n
-								k := (63 - n) >> 3
-								pos += int(k)
-								n += k * 8
-							}
-							b := int(n >> 4)
-							if b > rem {
-								b = rem
-							}
-							if c := int(4 - accPlanes); b > c {
-								b = c
-							}
-							if b == 0 {
-								ok = false
-								break
-							}
-							rem -= b
-							n -= uint(b) * 16
-							for k := 0; k < b; k++ {
-								acc = acc<<1 | uint64(spread8[cur&0xff]) | uint64(spread8[cur>>8&0xff])<<32
-								cur >>= 16
-							}
-							accPlanes += uint(b)
-							if accPlanes == 4 {
-								for j := range u {
-									u[j] = u[j]<<4 | acc>>(4*uint(j))&0xf
-								}
-								acc = 0
-								accPlanes = 0
-							}
-						}
-						break
-					}
-				}
-				if ok {
-					m := uint64(1)<<accPlanes - 1
-					sh := uint(minPlane)
-					var q [16]int64
-					for j := range u {
-						q[zigzag16[j]] = fromNegabinary((u[j]<<accPlanes | acc>>(4*uint(j))&m) << sh)
-					}
-					// Inverse separable transform: columns, then rows (same
-					// order as the scalar decoder).
-					var col [4]int64
-					for cidx := 0; cidx < 4; cidx++ {
-						for row := 0; row < 4; row++ {
-							col[row] = q[4*row+cidx]
-						}
-						invHadamard4(col[:])
-						for row := 0; row < 4; row++ {
-							q[4*row+cidx] = col[row]
-						}
-					}
-					for row := 0; row < 4; row++ {
-						invHadamard4(q[4*row : 4*row+4])
-					}
-					inv := invScale(e, 4)
-					for j := range block {
-						block[j] = float64(q[j]) * inv
-					}
-					scatter2DBlock(out, &block, nx, ny, bx, by)
-					continue
-				}
-			}
-			r.pos, r.cur, r.n = sPos, sCur, sN
-			if err := decodeZFP2DBlock(r, tol, &block); err != nil {
-				return err
-			}
-			pos, cur, n = r.pos, r.cur, r.n
-			scatter2DBlock(out, &block, nx, ny, bx, by)
-		}
-	}
-	r.pos, r.cur, r.n = pos, cur, n
-	return nil
-}
-
-// scatter2DBlock writes one decoded 4x4 block into the row-major grid,
-// clipping edge blocks.
-func scatter2DBlock(out []float64, block *[16]float64, nx, ny, bx, by int) {
-	if bx+4 <= nx && by+4 <= ny {
-		for j := 0; j < 4; j++ {
-			copy(out[(by+j)*nx+bx:], block[j*4:j*4+4])
-		}
-		return
-	}
-	for j := 0; j < 4 && by+j < ny; j++ {
-		for i := 0; i < 4 && bx+i < nx; i++ {
-			out[(by+j)*nx+bx+i] = block[j*4+i]
-		}
-	}
 }

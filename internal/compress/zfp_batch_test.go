@@ -67,94 +67,28 @@ func FuzzZFPBatchVsScalar(f *testing.F) {
 	})
 }
 
-func batch2DSeedCorpus(f *testing.F, tols []float64) {
-	f.Add([]byte{})
-	f.Add(make([]byte, 64))
-	for _, tol := range tols {
-		z, _ := NewZFP2D(tol)
-		for _, dim := range [][2]int{{1, 1}, {4, 4}, {5, 3}, {37, 41}} {
-			nx, ny := dim[0], dim[1]
-			enc, _ := z.Encode(smoothSignal(nx*ny, int64(nx*100+ny)), nx, ny)
-			f.Add(enc)
-			if len(enc) > 3 {
-				f.Add(enc[:len(enc)-3])
-			}
-			if len(enc) > 20 {
-				mid := append([]byte(nil), enc...)
-				mid[len(mid)/2] ^= 0xff
-				f.Add(mid)
-			}
-		}
-	}
-}
-
-// FuzzZFP2DBatchVsScalar is the 2D variant of FuzzZFPBatchVsScalar.
-func FuzzZFP2DBatchVsScalar(f *testing.F) {
-	batch2DSeedCorpus(f, []float64{0, 1e-3, 1e-6})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, tol := range []float64{0, 1e-3} {
-			z, err := NewZFP2D(tol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, bnx, bny, bErr := z.DecodeInto(nil, data)
-			scalar, snx, sny, sErr := z.decodeScalar(data)
-			if (bErr == nil) != (sErr == nil) {
-				t.Fatalf("tol=%g rejection mismatch: batch err=%v scalar err=%v", tol, bErr, sErr)
-			}
-			if bErr != nil {
-				continue
-			}
-			if bnx != snx || bny != sny || len(batch) != len(scalar) {
-				t.Fatalf("tol=%g shape mismatch: batch %dx%d/%d scalar %dx%d/%d",
-					tol, bnx, bny, len(batch), snx, sny, len(scalar))
-			}
-			for i := range batch {
-				if math.Float64bits(batch[i]) != math.Float64bits(scalar[i]) {
-					t.Fatalf("tol=%g value %d mismatch: batch %v scalar %v", tol, i, batch[i], scalar[i])
-				}
-			}
-		}
-	})
-}
-
 // TestZFPEncodedBytesGolden pins the exact encoder output bytes for fixed
 // inputs across tolerances. The batch-decode work is decode-side only: any
 // change to these hashes means the on-disk format moved and every container
 // written by an earlier build would re-read differently.
 func TestZFPEncodedBytesGolden(t *testing.T) {
-	vals1d := smoothSignal(4099, 7)
-	vals2d := smoothSignal(37*41, 9)
+	vals := smoothSignal(4099, 7)
 	goldens := []struct {
 		tol  float64
-		dim  string
 		n    int
 		hash string
 	}{
-		{0, "1d", 28595, "c4c268788d25e4a4b97fd4c4fe54684985f43622b5e1b9280e7b8627ab8d981c"},
-		{0, "2d", 11393, "a73d7a73ba3301a7d36afe0757dd201319ece94e6094ccccee3aeaef2b7a3dfa"},
-		{0.001, "1d", 9400, "86fca41b5028a522c28e6680ca963ab8a35649319d27468190ae12b0cbb9f8f0"},
-		{0.001, "2d", 3457, "bfe896f4b485b7c4e3014a27eeef0a455ac93556ec422afb8fdd31b559d9c5ea"},
-		{1e-06, "1d", 14526, "b8595c5c1882932380339d7bde0d06fd800b3ec8743754c61e8ff14efeefcf3b"},
-		{1e-06, "2d", 5487, "424760954d9079b48b6386e57b72a6fac1d50b217f2fabf516f8c9719cd60b17"},
+		{0, 28595, "c4c268788d25e4a4b97fd4c4fe54684985f43622b5e1b9280e7b8627ab8d981c"},
+		{0.001, 9400, "86fca41b5028a522c28e6680ca963ab8a35649319d27468190ae12b0cbb9f8f0"},
+		{1e-06, 14526, "b8595c5c1882932380339d7bde0d06fd800b3ec8743754c61e8ff14efeefcf3b"},
 	}
 	for _, g := range goldens {
-		t.Run(fmt.Sprintf("%s/tol=%g", g.dim, g.tol), func(t *testing.T) {
-			var enc []byte
-			var err error
-			if g.dim == "1d" {
-				z, zerr := NewZFP(g.tol)
-				if zerr != nil {
-					t.Fatal(zerr)
-				}
-				enc, err = z.Encode(vals1d)
-			} else {
-				z, zerr := NewZFP2D(g.tol)
-				if zerr != nil {
-					t.Fatal(zerr)
-				}
-				enc, err = z.Encode(vals2d, 37, 41)
+		t.Run(fmt.Sprintf("1d/tol=%g", g.tol), func(t *testing.T) {
+			z, err := NewZFP(g.tol)
+			if err != nil {
+				t.Fatal(err)
 			}
+			enc, err := z.Encode(vals)
 			if err != nil {
 				t.Fatal(err)
 			}

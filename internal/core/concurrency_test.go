@@ -328,3 +328,38 @@ func TestConcurrentMixedReadersOneIO(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelledFillDoesNotFailJoiner: a retrieval that joins another
+// request's single-flight hierarchy fill must not inherit that request's
+// cancellation. Slow reads keep the cancelled request's fill in flight
+// while the live one joins it. The sleeps only stage the overlap; whatever
+// the scheduling, the live retrieval must succeed.
+func TestCancelledFillDoesNotFailJoiner(t *testing.T) {
+	ds := testDataset("dpot", 24)
+	aio := faultedIO(t, ds, Options{Levels: 3, Chunks: 2}, "seed=1,read.delay=20ms")
+	for i := 0; i < 3; i++ {
+		rd, err := OpenReader(context.Background(), aio, "dpot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		var liveErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rd.Retrieve(ctx, 0)
+		}()
+		go func() {
+			defer wg.Done()
+			time.Sleep(5 * time.Millisecond)
+			_, liveErr = rd.Retrieve(context.Background(), 0)
+		}()
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+		wg.Wait()
+		if liveErr != nil {
+			t.Fatalf("round %d: live retrieval failed: %v", i, liveErr)
+		}
+	}
+}

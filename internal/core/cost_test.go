@@ -24,7 +24,8 @@ func approxSeconds(a, b float64) bool {
 
 // TestCostReportMatchesPhaseTimings is the single-fold guarantee stated as
 // a test: the CostReport on a retrieved view and the view's PhaseTimings
-// are fed at the same sites, so their totals agree on a fixed workload.
+// are fed at the same sites, so their totals agree on a fixed workload —
+// for single-variable reads and for campaign steps alike.
 func TestCostReportMatchesPhaseTimings(t *testing.T) {
 	aio := newIO()
 	ds := testDataset("dpot", 24)
@@ -35,48 +36,76 @@ func TestCostReportMatchesPhaseTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := rd.Retrieve(context.Background(), 0)
+	sw, m := newSeries(t, 3, 2)
+	for s := 0; s < 2; s++ {
+		if _, err := sw.WriteStep(context.Background(), seriesField(m, float64(s))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sr, err := OpenSeriesReader(context.Background(), sw.aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := v.Cost
-	if c == nil {
-		t.Fatal("retrieved view carries no CostReport")
+	cases := []struct {
+		name, op string
+		read     func() (*View, error)
+	}{
+		{"Retrieve", "core.retrieve", func() (*View, error) {
+			return rd.Retrieve(context.Background(), 0)
+		}},
+		{"RetrieveStep", "core.retrieve_step", func() (*View, error) {
+			return sr.RetrieveStep(context.Background(), 1, 0)
+		}},
+		{"RetrieveStepToTolerance", "core.retrieve_step", func() (*View, error) {
+			return sr.RetrieveStepToTolerance(context.Background(), 0, sr.r.boundAt(1))
+		}},
 	}
-	if c.Op != "core.retrieve" {
-		t.Errorf("op = %q, want core.retrieve", c.Op)
-	}
-	if c.ModeledBytes != v.Timings.IOBytes {
-		t.Errorf("modeled bytes: cost %d, timings %d", c.ModeledBytes, v.Timings.IOBytes)
-	}
-	if c.RealBytes != v.Timings.IORealBytes {
-		t.Errorf("real bytes: cost %d, timings %d", c.RealBytes, v.Timings.IORealBytes)
-	}
-	if !approxSeconds(c.IOSeconds, v.Timings.IOSeconds) {
-		t.Errorf("io seconds: cost %v, timings %v", c.IOSeconds, v.Timings.IOSeconds)
-	}
-	if !approxSeconds(c.DecompressSecs, v.Timings.DecompressSeconds) {
-		t.Errorf("decompress seconds: cost %v, timings %v", c.DecompressSecs, v.Timings.DecompressSeconds)
-	}
-	if !approxSeconds(c.RestoreSecs, v.Timings.RestoreSeconds) {
-		t.Errorf("restore seconds: cost %v, timings %v", c.RestoreSecs, v.Timings.RestoreSeconds)
-	}
-	if c.Level != v.Level || c.ErrorBound != v.ErrorBound {
-		t.Errorf("level/bound: cost %d/%v, view %d/%v", c.Level, c.ErrorBound, v.Level, v.ErrorBound)
-	}
-	if c.Degraded {
-		t.Error("clean retrieval billed as degraded")
-	}
-	var tierReads, tierBytes int64
-	for _, tc := range c.Tiers {
-		tierReads += tc.Reads
-		tierBytes += tc.Bytes
-	}
-	if tierReads == 0 || tierBytes == 0 {
-		t.Errorf("per-tier attribution empty: %+v", c.Tiers)
-	}
-	if c.DurationSeconds <= 0 {
-		t.Error("cost duration not positive")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := tc.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := v.Cost
+			if c == nil {
+				t.Fatal("retrieved view carries no CostReport")
+			}
+			if c.Op != tc.op {
+				t.Errorf("op = %q, want %s", c.Op, tc.op)
+			}
+			if c.ModeledBytes != v.Timings.IOBytes {
+				t.Errorf("modeled bytes: cost %d, timings %d", c.ModeledBytes, v.Timings.IOBytes)
+			}
+			if c.RealBytes != v.Timings.IORealBytes {
+				t.Errorf("real bytes: cost %d, timings %d", c.RealBytes, v.Timings.IORealBytes)
+			}
+			if !approxSeconds(c.IOSeconds, v.Timings.IOSeconds) {
+				t.Errorf("io seconds: cost %v, timings %v", c.IOSeconds, v.Timings.IOSeconds)
+			}
+			if !approxSeconds(c.DecompressSecs, v.Timings.DecompressSeconds) {
+				t.Errorf("decompress seconds: cost %v, timings %v", c.DecompressSecs, v.Timings.DecompressSeconds)
+			}
+			if !approxSeconds(c.RestoreSecs, v.Timings.RestoreSeconds) {
+				t.Errorf("restore seconds: cost %v, timings %v", c.RestoreSecs, v.Timings.RestoreSeconds)
+			}
+			if c.Level != v.Level || c.ErrorBound != v.ErrorBound {
+				t.Errorf("level/bound: cost %d/%v, view %d/%v", c.Level, c.ErrorBound, v.Level, v.ErrorBound)
+			}
+			if c.Degraded {
+				t.Error("clean retrieval billed as degraded")
+			}
+			var tierReads, tierBytes int64
+			for _, tc := range c.Tiers {
+				tierReads += tc.Reads
+				tierBytes += tc.Bytes
+			}
+			if tierReads == 0 || tierBytes == 0 {
+				t.Errorf("per-tier attribution empty: %+v", c.Tiers)
+			}
+			if c.DurationSeconds <= 0 {
+				t.Error("cost duration not positive")
+			}
+		})
 	}
 
 	// Hand-built progressive views carry no bill of their own.

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -83,6 +85,35 @@ func countDegradation(ctx context.Context, d *Degradation) {
 		"levels_lost", strconv.Itoa(d.LevelsLost),
 		"reason", d.Reason)
 	obs.RequestFrom(ctx).SetDegraded(d.Reason)
+}
+
+// markDegraded closes out a retrieval that stopped at d.AchievedLevel:
+// the report is counted (once per retrieval) and the span marked.
+func markDegraded(ctx context.Context, span *obs.Span, d *Degradation) {
+	countDegradation(ctx, d)
+	span.SetAttrInt("achieved_level", d.AchievedLevel)
+	span.SetAttr("degraded", "true")
+}
+
+// finishTolerance attaches the tolerance context to a tolerance-driven
+// view: the eps on any degradation report, and a terminal "unreachable"
+// report when the plan already knew eps undercuts the finest bound.
+func finishTolerance(ctx context.Context, v *View, pl *plan.Plan) {
+	if v.Degradation != nil {
+		v.Degradation.RequestedTolerance = pl.Tolerance
+		return
+	}
+	if pl.Unreachable {
+		v.Degradation = &Degradation{
+			RequestedLevel:     pl.Target,
+			AchievedLevel:      v.Level,
+			RequestedTolerance: pl.Tolerance,
+			Reason: fmt.Sprintf("tolerance %g unreachable: finest recorded bound is %g",
+				pl.Tolerance, v.ErrorBound),
+			ErrorBound: v.ErrorBound,
+		}
+		countDegradation(ctx, v.Degradation)
+	}
 }
 
 // degradable reports whether err is a storage-layer failure a degraded

@@ -121,39 +121,65 @@ func TestBaseRetrieveTouchesNoDeltaTier(t *testing.T) {
 }
 
 // TestRetrieveSpanTree checks the shape of a full retrieval's trace: the
-// root covers core.retrieve, which nests core.base plus one core.augment
-// per refined level, each augment carrying a core.restore child.
+// root covers the entry point's span (core.retrieve, or core.retrieve_step
+// for a campaign step), which nests core.base plus one core.augment per
+// refined level, each augment carrying a core.restore child.
 func TestRetrieveSpanTree(t *testing.T) {
 	aio := newIO()
 	ds := testDataset("dpot", 24)
 	if _, err := Write(context.Background(), aio, ds, Options{Levels: 3, RelTolerance: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
-	ctx, root := obs.Trace(context.Background(), "test.retrieve")
-	r, err := OpenReader(ctx, aio, "dpot")
-	if err != nil {
+	sw, m := newSeries(t, 3, 1)
+	if _, err := sw.WriteStep(context.Background(), seriesField(m, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Retrieve(ctx, 0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		op   string
+		read func(ctx context.Context) error
+	}{
+		{"core.retrieve", func(ctx context.Context) error {
+			r, err := OpenReader(ctx, aio, "dpot")
+			if err != nil {
+				return err
+			}
+			_, err = r.Retrieve(ctx, 0)
+			return err
+		}},
+		{"core.retrieve_step", func(ctx context.Context) error {
+			sr, err := OpenSeriesReader(ctx, sw.aio, "dpot")
+			if err != nil {
+				return err
+			}
+			_, err = sr.RetrieveStep(ctx, 0, 0)
+			return err
+		}},
 	}
-	root.End()
+	for _, tc := range cases {
+		t.Run(tc.op, func(t *testing.T) {
+			ctx, root := obs.Trace(context.Background(), "test.retrieve")
+			if err := tc.read(ctx); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
 
-	counts := map[string]int{}
-	root.Dump().Walk(func(s obs.SpanDump) { counts[s.Name]++ })
-	if counts["core.retrieve"] != 1 {
-		t.Errorf("core.retrieve spans = %d, want 1", counts["core.retrieve"])
-	}
-	if counts["core.base"] != 1 {
-		t.Errorf("core.base spans = %d, want 1", counts["core.base"])
-	}
-	if counts["core.augment"] != 2 {
-		t.Errorf("core.augment spans = %d, want 2", counts["core.augment"])
-	}
-	if counts["core.restore"] != 2 {
-		t.Errorf("core.restore spans = %d, want 2", counts["core.restore"])
-	}
-	if counts["adios.open"] == 0 {
-		t.Error("no adios.open spans in retrieval trace")
+			counts := map[string]int{}
+			root.Dump().Walk(func(s obs.SpanDump) { counts[s.Name]++ })
+			if counts[tc.op] != 1 {
+				t.Errorf("%s spans = %d, want 1", tc.op, counts[tc.op])
+			}
+			if counts["core.base"] != 1 {
+				t.Errorf("core.base spans = %d, want 1", counts["core.base"])
+			}
+			if counts["core.augment"] != 2 {
+				t.Errorf("core.augment spans = %d, want 2", counts["core.augment"])
+			}
+			if counts["core.restore"] != 2 {
+				t.Errorf("core.restore spans = %d, want 2", counts["core.restore"])
+			}
+			if counts["adios.open"] == 0 {
+				t.Error("no adios.open spans in retrieval trace")
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ func TestPlansFollowPromotedResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p0, err := r.planner()
+	p0, err := r.planner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPlansFollowPromotedResidency(t *testing.T) {
 	key := levelKey("dpot", 0)
 	mv := aio.H.Mover()
 	mv.IntendMoves([]place.Move{{Key: key, To: 0}})
-	pi, err := r.planner()
+	pi, err := r.planner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPlansFollowPromotedResidency(t *testing.T) {
 		t.Fatalf("finest container on tier %d after promotion, want 0", w)
 	}
 
-	p1, err := r.planner()
+	p1, err := r.planner(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,60 +77,34 @@ func tierOf(aio *adios.IO, key string) plan.Tier {
 	}
 }
 
-// newPlanner assembles a planner over one hierarchy's product set; key maps
-// an accuracy level to the storage key of its container, so the same helper
-// serves single-variable readers (level containers) and series readers
-// (per-step containers).
-func newPlanner(mode plan.Mode, bounds []float64, levelBytes []int64, aio *adios.IO, key func(l int) string) (*plan.Planner, error) {
-	prods := make([]plan.Product, len(bounds))
+// planner builds the retrieval planner over the product set of step (the
+// campaign layout; ignored otherwise), pricing each level against the tier
+// its data container currently occupies. Plans are rebuilt per retrieval:
+// placement can change between calls (tier faults, migration), and
+// construction is cheap.
+func (r *Reader) planner(step int) (*plan.Planner, error) {
+	prods := make([]plan.Product, r.levels)
 	for l := range prods {
 		prods[l] = plan.Product{
 			Level: l,
-			Bound: bounds[l],
-			Bytes: levelBytes[l],
-			Tier:  tierOf(aio, key(l)),
+			Bound: r.bounds[l],
+			Bytes: r.levelBytes[l],
+			Tier:  tierOf(r.aio, r.dataKey(step, l)),
 		}
 	}
-	return plan.New(mode, prods)
-}
-
-// planner builds the retrieval planner for the reader's current product
-// placement. Plans are rebuilt per retrieval: placement can change between
-// calls (tier faults, future migration), and construction is cheap.
-func (r *Reader) planner() (*plan.Planner, error) {
-	return newPlanner(planMode(r.mode), r.bounds, r.levelBytes, r.aio, func(l int) string {
-		return levelKey(r.name, l)
-	})
+	return plan.New(planMode(r.mode), prods)
 }
 
 // boundAt is the composed absolute error bound of a view at level l, from
-// the bounds recorded at write time. Legacy hierarchies know only the
-// finest level's codec bound; every other level reports -1 (unknown).
+// the bounds recorded at write time (campaign-wide running maxima for a
+// campaign). Legacy hierarchies know only the finest level's codec bound;
+// every other level reports -1 (unknown).
 func (r *Reader) boundAt(l int) float64 {
 	if l >= 0 && l < len(r.bounds) && r.bounds[l] >= 0 {
 		return r.bounds[l]
 	}
 	if l == 0 {
 		return r.tolerance
-	}
-	return -1
-}
-
-// planner builds the retrieval planner for one step's product placement.
-func (sr *SeriesReader) planner(step int) (*plan.Planner, error) {
-	return newPlanner(plan.Progressive, sr.bounds, sr.levelBytes, sr.aio, func(l int) string {
-		return stepKey(sr.name, step, l)
-	})
-}
-
-// boundAt mirrors Reader.boundAt for campaign views: the recorded bounds
-// are campaign-wide (running maxima over every written step).
-func (sr *SeriesReader) boundAt(l int) float64 {
-	if l >= 0 && l < len(sr.bounds) && sr.bounds[l] >= 0 {
-		return sr.bounds[l]
-	}
-	if l == 0 {
-		return sr.tolerance
 	}
 	return -1
 }

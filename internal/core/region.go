@@ -87,7 +87,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 
 	// The planner resolves the target into the coarse-to-fine step sequence;
 	// the executor below only follows it (and truncates it on degradation).
-	p, err := r.planner()
+	p, err := r.planner(0)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 
 	out := &RegionView{Level: targetLevel}
 
-	// Open the planned containers base-down, loading meshes and mappings
+	// Open the planned containers base-down, loading their hierarchy rungs
 	// (cached across calls). The order matters for degradation: the base
 	// must open (there is nothing coarser to fall back to), and a
 	// degradable failure at a finer level truncates the active plan to the
@@ -106,9 +106,10 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	base := r.levels - 1
 	var deg *Degradation
 	active := pl.Steps
-	handles := make([]*handleInfo, base+1)
+	handles := make([]*adios.Handle, base+1)
+	rungs := make([]*rung, base+1)
 	for i, st := range pl.Steps {
-		info, err := r.openLevelInfo(ctx, st.Level, base)
+		h, lv, err := r.openLevel(ctx, 0, st.Level)
 		if err != nil {
 			if i > 0 && degrade && degradable(err) {
 				achieved := pl.Steps[i-1].Level
@@ -118,7 +119,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 			}
 			return nil, err
 		}
-		handles[st.Level] = info
+		handles[st.Level], rungs[st.Level] = h, lv
 	}
 	effTarget := active[len(active)-1].Level
 
@@ -126,22 +127,21 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	// base: needed corners at level l+1 are the triangle corners the
 	// mapping assigns to needed vertices at level l.
 	needed := make([][]bool, base+1)
-	needed[effTarget] = make([]bool, handles[effTarget].mesh.NumVerts())
-	for vi, v := range handles[effTarget].mesh.Verts {
+	needed[effTarget] = make([]bool, rungs[effTarget].mesh.NumVerts())
+	for vi, v := range rungs[effTarget].mesh.Verts {
 		if v.X >= minX && v.X <= maxX && v.Y >= minY && v.Y <= maxY {
 			needed[effTarget][vi] = true
 		}
 	}
 	for i := len(active) - 1; i > 0; i-- {
 		l := active[i].Level
-		fine := handles[l]
-		coarseMesh := handles[l+1].mesh
+		coarseMesh := rungs[l+1].mesh
 		needed[l+1] = make([]bool, coarseMesh.NumVerts())
 		for vi, want := range needed[l] {
 			if !want {
 				continue
 			}
-			t := coarseMesh.Tris[fine.mapping[vi]]
+			t := coarseMesh.Tris[rungs[l].mapping[vi]]
 			needed[l+1][t[0]] = true
 			needed[l+1][t[1]] = true
 			needed[l+1][t[2]] = true
@@ -149,46 +149,27 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	}
 
 	// Base: read in full (small, fast tier).
-	hBase := handles[base].h
-	pBase, err := fetchProduct(hBase, base, engine.KindData, 0)
+	data, decSecs, err := r.decodeData(ctx, handles[base], base, rungs[base].mesh)
+	out.Timings.DecompressSeconds += decSecs
 	if err != nil {
 		return nil, err
-	}
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	baseData, err := decodeProduct(ctx, r.pool, r.codec, hBase, base, pBase.Payload)
-	baseDecSecs := time.Since(t0).Seconds()
-	dspan.End()
-	out.Timings.DecompressSeconds += baseDecSecs
-	metricDecompressSeconds.Add(baseDecSecs)
-	req.AddDecompress(baseDecSecs)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: decompress base: %w", err)
-	}
-	if len(baseData) != handles[base].mesh.NumVerts() {
-		return nil, fmt.Errorf("canopus: base data %d values for %d vertices", len(baseData), handles[base].mesh.NumVerts())
 	}
 
 	// Restore along the plan coarse-to-fine, needed vertices only, fetching
 	// only the delta tiles that hold them. A degradable fetch failure stops
 	// the refinement with the coarser level's data intact.
-	data := baseData
 	for i := 1; i < len(active); i++ {
 		l := active[i].Level
-		fine := handles[l]
-		tb, err := r.tileFrame(fine.h)
-		if err != nil {
-			return nil, err
-		}
+		fine := rungs[l]
 		chunkSet := map[int]bool{}
 		for vi, want := range needed[l] {
 			if want {
 				v := fine.mesh.Verts[vi]
-				chunkSet[tb.tileOf(v.X, v.Y)] = true
+				chunkSet[fine.tb.tileOf(v.X, v.Y)] = true
 			}
 		}
 		chunks := make([]int, 0, len(chunkSet))
-		for ci := 0; ci < tb.n*tb.n; ci++ {
+		for ci := 0; ci < fine.tb.n*fine.tb.n; ci++ {
 			if chunkSet[ci] {
 				chunks = append(chunks, ci)
 			}
@@ -196,7 +177,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		deltas := make([]float64, fine.mesh.NumVerts())
 		haveDelta := make([]bool, fine.mesh.NumVerts())
 		var decompress engine.Counter
-		if err := r.readDeltaChunks(ctx, fine.h, l, chunks, deltas, haveDelta, &decompress); err != nil {
+		if err := r.readDeltaChunks(ctx, handles[l], fine.tb, l, chunks, deltas, haveDelta, &decompress); err != nil {
 			if degrade && degradable(err) {
 				deg = newDegradation(targetLevel, l+1, err, r.boundAt(l+1))
 				effTarget = l + 1
@@ -209,9 +190,9 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 
 		rspan := span.Child("core.restore")
 		rspan.SetAttrInt("level", l)
-		t0 = time.Now()
+		t0 := time.Now()
 		fineData := make([]float64, fine.mesh.NumVerts())
-		coarseMesh := handles[l+1].mesh
+		coarseMesh := rungs[l+1].mesh
 		// Needed vertices are restored independently, so the sparse loop
 		// shards over the pool like the full restore; writes target
 		// disjoint indices and the result is identical at every worker
@@ -243,10 +224,10 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 
 	// Accumulate I/O from every handle the active plan touched.
 	for _, st := range active {
-		out.Timings.addHandleIO(ctx, handles[st.Level].h)
+		out.Timings.addHandleIO(ctx, handles[st.Level])
 	}
 	out.Level = effTarget
-	out.Mesh = handles[effTarget].mesh
+	out.Mesh = rungs[effTarget].mesh
 	out.Data = data
 	out.ErrorBound = r.boundAt(effTarget)
 	if effTarget == base {
@@ -260,9 +241,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	}
 	if deg != nil {
 		out.Degradation = deg
-		countDegradation(ctx, deg)
-		span.SetAttrInt("achieved_level", effTarget)
-		span.SetAttr("degraded", "true")
+		markDegraded(ctx, span, deg)
 	}
 	req.SetLevel(out.Level)
 	req.SetErrorBound(out.ErrorBound)
@@ -272,30 +251,4 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		out.Cost = rep
 	}
 	return out, nil
-}
-
-type handleInfo struct {
-	h       *adios.Handle
-	mesh    *mesh.Mesh
-	mapping delta.Mapping
-}
-
-// openLevelInfo opens one level container and loads its cached mesh (and,
-// for non-base levels, mapping).
-func (r *Reader) openLevelInfo(ctx context.Context, l, base int) (*handleInfo, error) {
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.readMesh(h, l)
-	if err != nil {
-		return nil, err
-	}
-	info := &handleInfo{h: h, mesh: m}
-	if l < base {
-		if info.mapping, err = r.readMapping(h, l); err != nil {
-			return nil, err
-		}
-	}
-	return info, nil
 }

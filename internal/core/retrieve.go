@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -23,18 +24,27 @@ import (
 // of the pyramid). Opening a reader touches only the small metadata
 // container on the fastest tier.
 //
-// The reader caches decoded mesh geometry and vertex→triangle mappings per
-// level: in the paper's workloads the mesh hierarchy is static while the
-// field evolves over many timesteps and many analysis passes, so a session
-// pays mesh I/O once and subsequent retrievals charge only the data/delta
-// payloads. Retrieval timings on a warm reader therefore reflect the
-// steady-state analysis cost the paper measures.
+// One Reader serves both stored layouts. A single variable (Write) keeps
+// level l's data product, mesh, mapping and tile frame together in
+// levelKey(name, l); a campaign (SeriesWriter) keeps the data product of
+// each step in stepKey(name, step, l) and the static hierarchy once in
+// hierKey(name, l). Everything else — metadata, planner, plan executor,
+// degradation, caches — is shared; SeriesReader is this reader plus a step
+// count.
+//
+// The reader caches each level's hierarchy rung (decoded mesh geometry,
+// vertex→triangle mapping and delta tile frame): in the paper's workloads
+// the mesh hierarchy is static while the field evolves over many timesteps
+// and many analysis passes, so a session pays mesh I/O once and subsequent
+// retrievals charge only the data/delta payloads. Retrieval timings on a
+// warm reader therefore reflect the steady-state analysis cost the paper
+// measures.
 //
 // A Reader is safe for concurrent use: many goroutines may Retrieve (or
-// Base/Augment distinct views) at once. The caches are mutex-guarded and a
-// cache miss decodes each level's mesh and mapping exactly once even when
-// several retrievals race to it. Independent delta tiles within one
-// retrieval are fetched and decompressed on the reader's worker pool.
+// Base/Augment distinct views) at once. The cache is mutex-guarded and a
+// miss loads each rung exactly once even when several retrievals race to
+// it. Independent delta tiles within one retrieval are fetched and
+// decompressed on the reader's worker pool.
 type Reader struct {
 	aio       *adios.IO
 	name      string
@@ -43,26 +53,39 @@ type Reader struct {
 	codec     compress.Codec
 	estimator delta.Estimator
 	tolerance float64
-	rawBytes  int64
+	// campaign selects the campaign key layout (see the type comment).
+	campaign bool
 
 	// bounds and levelBytes are the planner inputs recorded at write time:
-	// composed absolute error bound and modeled container size per level.
-	// bounds[l] is -1 on hierarchies written before bound recording.
+	// composed absolute error bound and modeled container size per level
+	// (campaign-wide running maxima for a campaign). bounds[l] is -1 on
+	// hierarchies written before bound recording.
 	bounds     []float64
 	levelBytes []int64
 
-	// degrade switches Retrieve/RetrieveRegion to best-effort: stop at the
-	// best restored accuracy on a degradable storage failure instead of
+	// degrade switches the read paths to best-effort: stop at the best
+	// restored accuracy on a degradable storage failure instead of
 	// erroring (see degrade.go). Guarded by mu so SetDegrade is safe against
 	// concurrent retrievals.
 	degrade bool
 
 	pool *engine.Pool
 
-	mu           sync.RWMutex // guards the caches below
-	meshCache    map[int]*mesh.Mesh
-	mappingCache map[int]delta.Mapping
-	flight       engine.Group
+	mu       sync.RWMutex // guards degrade, rungs and hierCost
+	rungs    []*rung      // indexed by level; nil until loaded
+	hierCost storage.Cost // campaign layout: one-time hierarchy loads
+	flight   engine.Group
+}
+
+// rung is one cached level of the mesh hierarchy: its geometry, the
+// vertex→triangle mapping onto the next coarser level (nil at the base and
+// in direct mode, which store none), and the frame its delta tiles were cut
+// in.
+type rung struct {
+	mesh    *mesh.Mesh
+	mapping delta.Mapping
+	tb      tileBox
+	full    bool // every part loaded; false on a fill that was cut short
 }
 
 // OpenReaderWith loads the metadata for a refactored variable and applies
@@ -94,74 +117,78 @@ func (r *Reader) degradeOn() bool {
 
 // OpenReader loads the metadata for a refactored variable.
 func OpenReader(ctx context.Context, aio *adios.IO, name string) (*Reader, error) {
-	h, err := aio.Open(ctx, metaKey(name), 1)
+	r, _, err := openReader(ctx, aio, name, false)
+	return r, err
+}
+
+// openReader parses the metadata container of either layout: metaKey for a
+// single variable, seriesMetaKey for a campaign, which records no mode
+// (campaigns are delta-mode) but a step count, returned as steps.
+func openReader(ctx context.Context, aio *adios.IO, name string, campaign bool) (r *Reader, steps int, err error) {
+	key, what := metaKey(name), "metadata"
+	if campaign {
+		key, what = seriesMetaKey(name), "series metadata"
+	}
+	h, err := aio.Open(ctx, key, 1)
 	if err != nil {
-		return nil, fmt.Errorf("canopus: open metadata for %q: %w", name, err)
+		return nil, 0, fmt.Errorf("canopus: open %s for %q: %w", what, name, err)
 	}
 	attr := func(key string) (string, error) {
 		v, ok := h.BP.Attr(key)
 		if !ok {
-			return "", fmt.Errorf("canopus: metadata for %q missing %s", name, key)
+			return "", fmt.Errorf("canopus: %s for %q missing %s", what, name, key)
 		}
 		return v, nil
 	}
-	modeStr, err := attr("mode")
-	if err != nil {
-		return nil, err
-	}
-	mode, err := ModeByName(modeStr)
-	if err != nil {
-		return nil, err
+	r = &Reader{aio: aio, name: name, campaign: campaign, pool: engine.NewPool(0)}
+	if campaign {
+		stepsStr, err := attr("steps")
+		if err != nil {
+			return nil, 0, err
+		}
+		if steps, err = strconv.Atoi(stepsStr); err != nil || steps < 0 {
+			return nil, 0, fmt.Errorf("canopus: bad steps attribute %q", stepsStr)
+		}
+	} else {
+		modeStr, err := attr("mode")
+		if err != nil {
+			return nil, 0, err
+		}
+		if r.mode, err = ModeByName(modeStr); err != nil {
+			return nil, 0, err
+		}
 	}
 	levelsStr, err := attr("levels")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	levels, err := strconv.Atoi(levelsStr)
-	if err != nil || levels < 1 {
-		return nil, fmt.Errorf("canopus: bad levels attribute %q", levelsStr)
+	if r.levels, err = strconv.Atoi(levelsStr); err != nil || r.levels < 1 {
+		return nil, 0, fmt.Errorf("canopus: bad levels attribute %q", levelsStr)
 	}
 	codecName, err := attr("codec")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	tolStr, err := attr("tolerance")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	tol, err := strconv.ParseFloat(tolStr, 64)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: bad tolerance attribute %q", tolStr)
+	if r.tolerance, err = strconv.ParseFloat(tolStr, 64); err != nil {
+		return nil, 0, fmt.Errorf("canopus: bad tolerance attribute %q", tolStr)
 	}
-	codec, err := compress.New(codecName, tol)
-	if err != nil {
-		return nil, err
+	if r.codec, err = compress.New(codecName, r.tolerance); err != nil {
+		return nil, 0, err
 	}
 	estName, err := attr("estimator")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	est, err := delta.EstimatorByName(estName)
-	if err != nil {
-		return nil, err
+	if r.estimator, err = delta.EstimatorByName(estName); err != nil {
+		return nil, 0, err
 	}
-	r := &Reader{
-		aio:          aio,
-		name:         name,
-		mode:         mode,
-		levels:       levels,
-		codec:        codec,
-		estimator:    est,
-		tolerance:    tol,
-		pool:         engine.NewPool(0),
-		meshCache:    make(map[int]*mesh.Mesh),
-		mappingCache: make(map[int]delta.Mapping),
-	}
-	if raw, ok := h.BP.Attr("raw-bytes"); ok {
-		r.rawBytes, _ = strconv.ParseInt(raw, 10, 64)
-	}
-	r.bounds, r.levelBytes = readPlanAttrs(h, levels)
-	return r, nil
+	r.rungs = make([]*rung, r.levels)
+	r.bounds, r.levelBytes = readPlanAttrs(h, r.levels)
+	return r, steps, nil
 }
 
 // SetWorkers resizes the reader's worker pool (n <= 0 means NumCPU). It must
@@ -245,44 +272,7 @@ func decodeProduct(ctx context.Context, pool *engine.Pool, codec compress.Codec,
 // Base retrieves the lowest-accuracy view: read L^(N-1) from the fast tier
 // and decompress — option (1) in §III-B's walkthrough.
 func (r *Reader) Base(ctx context.Context) (*View, error) {
-	l := r.levels - 1
-	if r.mode == ModeDirect {
-		return r.retrieveDirect(ctx, l)
-	}
-	ctx, span := obs.StartSpan(ctx, "core.base")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("level", l)
-	defer span.End()
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("tier", h.TierName)
-	p, err := fetchProduct(h, l, engine.KindData, 0)
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.readMesh(h, l)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{Level: l, Mesh: m, ErrorBound: r.boundAt(l)}
-	v.Timings.addHandleIO(ctx, h)
-
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	v.Data, err = decodeProduct(ctx, r.pool, r.codec, h, l, p.Payload)
-	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
-	dspan.End()
-	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
-	obs.RequestFrom(ctx).AddDecompress(v.Timings.DecompressSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: decompress base: %w", err)
-	}
-	if len(v.Data) != m.NumVerts() {
-		return nil, fmt.Errorf("canopus: base data %d values for %d vertices", len(v.Data), m.NumVerts())
-	}
-	return v, nil
+	return r.advance(ctx, 0, nil, r.levels-1)
 }
 
 // Augment refines v by one level (toward full accuracy): it retrieves
@@ -293,60 +283,11 @@ func (r *Reader) Augment(ctx context.Context, v *View) error {
 	if v.Level == 0 {
 		return fmt.Errorf("canopus: %q already at full accuracy", r.name)
 	}
-	fineLevel := v.Level - 1
-	if r.mode == ModeDirect {
-		nv, err := r.retrieveDirect(ctx, fineLevel)
-		if err != nil {
-			return err
-		}
-		nv.Timings.Add(v.Timings)
-		*v = *nv
-		return nil
-	}
-	ctx, span := obs.StartSpan(ctx, "core.augment")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("level", fineLevel)
-	defer span.End()
-	metricAugments.Inc()
-	h, err := r.aio.Open(ctx, levelKey(r.name, fineLevel), 1)
+	nv, err := r.advance(ctx, 0, v, v.Level-1)
 	if err != nil {
 		return err
 	}
-	span.SetAttr("tier", h.TierName)
-	mp, err := r.readMapping(h, fineLevel)
-	if err != nil {
-		return err
-	}
-	fineMesh, err := r.readMesh(h, fineLevel)
-	if err != nil {
-		return err
-	}
-	d := make([]float64, fineMesh.NumVerts())
-	var decompress engine.Counter
-	if err := r.readDeltaChunks(ctx, h, fineLevel, nil, d, nil, &decompress); err != nil {
-		return err
-	}
-	v.Timings.addHandleIO(ctx, h)
-	v.Timings.DecompressSeconds += decompress.Value()
-
-	rspan := span.Child("core.restore")
-	t0 := time.Now()
-	// In-place restore: the delta buffer becomes the fine data, and the
-	// per-vertex loop shards over the reader's pool.
-	fineData, err := delta.RestoreInto(ctx, r.pool, fineMesh, v.Mesh, v.Data, mp, d, r.estimator, d)
-	restoreSecs := time.Since(t0).Seconds()
-	rspan.End()
-	v.Timings.RestoreSeconds += restoreSecs
-	metricRestoreSeconds.Add(restoreSecs)
-	obs.RequestFrom(ctx).AddRestore(restoreSecs)
-	if err != nil {
-		return fmt.Errorf("canopus: restore level %d: %w", fineLevel, err)
-	}
-
-	v.Level = fineLevel
-	v.Mesh = fineMesh
-	v.Data = fineData
-	v.ErrorBound = r.boundAt(fineLevel)
+	*v = *nv
 	return nil
 }
 
@@ -358,18 +299,7 @@ func (r *Reader) Augment(ctx context.Context, v *View) error {
 // the view at the last level that restored cleanly, reported via
 // View.Degradation; the base itself must still be readable.
 func (r *Reader) Retrieve(ctx context.Context, targetLevel int) (*View, error) {
-	if targetLevel < 0 || targetLevel >= r.levels {
-		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", targetLevel, r.levels)
-	}
-	p, err := r.planner()
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.ForLevel(targetLevel)
-	if err != nil {
-		return nil, err
-	}
-	return r.execute(ctx, pl)
+	return r.retrieveLevel(ctx, opRetrieve, 0, targetLevel)
 }
 
 // RetrieveToTolerance restores the variable to the cheapest accuracy whose
@@ -381,7 +311,44 @@ func (r *Reader) Retrieve(ctx context.Context, targetLevel int) (*View, error) {
 // recorded bound retrieves full accuracy and reports how close it got via
 // View.Degradation (RequestedTolerance set, Reason explains the gap).
 func (r *Reader) RetrieveToTolerance(ctx context.Context, eps float64) (*View, error) {
-	p, err := r.planner()
+	return r.retrieveTolerance(ctx, opRetrieve, 0, eps)
+}
+
+// readOp is an entry point of the plan executor: the request and span it
+// bills under, its call counter and its latency histogram.
+type readOp struct {
+	name  string
+	calls *obs.Counter
+	hist  *obs.Histogram
+}
+
+var (
+	opRetrieve  = readOp{"core.retrieve", metricRetrievals, metricRetrieveSeconds}
+	opStep      = readOp{"core.retrieve_step", metricSeriesSteps, metricRetrieveStepSeconds}
+	opSubscribe = readOp{"core.subscribe", metricStreams, metricSubscribeSeconds}
+)
+
+// retrieveLevel plans and executes a read of one accuracy level of step
+// (the campaign layout; 0 otherwise).
+func (r *Reader) retrieveLevel(ctx context.Context, op readOp, step, targetLevel int) (*View, error) {
+	if targetLevel < 0 || targetLevel >= r.levels {
+		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", targetLevel, r.levels)
+	}
+	p, err := r.planner(step)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := p.ForLevel(targetLevel)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute(ctx, op, step, pl, nil)
+}
+
+// retrieveTolerance plans and executes a read of step to the error
+// tolerance eps.
+func (r *Reader) retrieveTolerance(ctx context.Context, op readOp, step int, eps float64) (*View, error) {
+	p, err := r.planner(step)
 	if err != nil {
 		return nil, err
 	}
@@ -390,217 +357,324 @@ func (r *Reader) RetrieveToTolerance(ctx context.Context, eps float64) (*View, e
 		return nil, err
 	}
 	metricToleranceRetrievals.Inc()
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve")
-	v, err := r.execute(ctx, pl)
-	if err != nil {
-		return nil, err
-	}
-	finishTolerance(ctx, v, pl)
-	finishView(v, req, owned, obs.FromContext(ctx), metricRetrieveSeconds)
-	return v, nil
+	return r.execute(ctx, op, step, pl, nil)
 }
 
-// finishTolerance attaches the tolerance context to a tolerance-driven
-// view: the eps on any degradation report, and a terminal "unreachable"
-// report when the plan already knew eps undercuts the finest bound.
-func finishTolerance(ctx context.Context, v *View, pl *plan.Plan) {
-	if v.Degradation != nil {
-		v.Degradation.RequestedTolerance = pl.Tolerance
-		return
-	}
-	if pl.Unreachable {
-		v.Degradation = &Degradation{
-			RequestedLevel:     pl.Target,
-			AchievedLevel:      v.Level,
-			RequestedTolerance: pl.Tolerance,
-			Reason: fmt.Sprintf("tolerance %g unreachable: finest recorded bound is %g",
-				pl.Tolerance, v.ErrorBound),
-			ErrorBound: v.ErrorBound,
-		}
-		countDegradation(ctx, v.Degradation)
-	}
-}
-
-// execute walks a planner-produced Plan: progressive plans apply the steps
-// coarse-to-fine (base first, then each delta), direct plans fetch their
-// single product and fall back along pl.Fallbacks under degradation. All
-// level selection lives in the plan; execute only follows it.
-func (r *Reader) execute(ctx context.Context, pl *plan.Plan) (*View, error) {
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve")
-	ctx, span := obs.StartSpan(ctx, "core.retrieve")
+// execute is the plan executor behind every view-producing read. It walks a
+// planner-produced plan over step's containers, one advance per plan step,
+// and owns the request, the span and the degradation path: on a degradable
+// storage failure a progressive read stops at the last level that restored
+// cleanly, and a direct read whose product is unreadable falls back along
+// pl.Fallbacks. All level selection lives in the plan; execute only follows
+// it (and truncates it on degradation).
+//
+// With a nil emit the final view is returned. Otherwise (Subscribe) each
+// completed step is sent to emit as a private snapshot and the final view
+// last; the stream degrades whatever SetDegrade says, since every view
+// already sent is valid, and emit returning false (the subscriber left)
+// ends the walk.
+func (r *Reader) execute(ctx context.Context, op readOp, step int, pl *plan.Plan, emit func(*View) bool) (*View, error) {
+	ctx, req, owned := obs.BeginRequest(ctx, op.name)
+	ctx, span := obs.StartSpan(ctx, op.name)
 	span.SetAttr("name", r.name)
+	if r.campaign {
+		span.SetAttrInt("step", step)
+	}
 	span.SetAttrInt("target_level", pl.Target)
 	if pl.Tolerance > 0 {
 		span.SetAttr("tolerance", strconv.FormatFloat(pl.Tolerance, 'g', -1, 64))
 	}
 	defer span.End()
-	metricRetrievals.Inc()
-	if pl.Mode == plan.Direct {
-		v, err := r.executeDirect(ctx, span, pl)
-		if err != nil {
-			return nil, err
+	op.calls.Inc()
+
+	var v *View
+	var err error
+	for i, st := range pl.Steps {
+		if v, err = r.advance(ctx, step, v, st.Level); err != nil {
+			break
 		}
-		finishView(v, req, owned, span, metricRetrieveSeconds)
-		return v, nil
+		if emit != nil && i < len(pl.Steps)-1 && !emit(snapshotView(v)) {
+			return nil, ctx.Err()
+		}
 	}
-	v, err := r.Base(ctx)
 	if err != nil {
-		return nil, err
-	}
-	for range pl.Steps[1:] {
-		if err := r.Augment(ctx, v); err != nil {
-			if r.degradeOn() && degradable(err) {
-				v.Degradation = newDegradation(pl.Target, v.Level, err, r.boundAt(v.Level))
-				countDegradation(ctx, v.Degradation)
-				span.SetAttrInt("achieved_level", v.Level)
-				span.SetAttr("degraded", "true")
-				finishView(v, req, owned, span, metricRetrieveSeconds)
-				return v, nil
-			}
+		if ctx.Err() != nil || !degradable(err) || (emit == nil && !r.degradeOn()) {
 			return nil, err
 		}
+		if v == nil {
+			fb, ferr := r.fallback(ctx, step, pl.Fallbacks, err)
+			if ferr != nil {
+				return nil, ferr
+			}
+			v = fb
+		}
+		if emit != nil {
+			metricStreamFaults.Inc()
+		}
+		v.Degradation = newDegradation(pl.Target, v.Level, err, r.boundAt(v.Level))
+		markDegraded(ctx, span, v.Degradation)
 	}
-	finishView(v, req, owned, span, metricRetrieveSeconds)
+	if pl.Tolerance > 0 {
+		finishTolerance(ctx, v, pl)
+	}
+	finishView(v, req, owned, span, op.hist)
+	if emit != nil {
+		emit(v)
+	}
 	return v, nil
 }
 
-// executeDirect is execute's direct-mode body: each level is an
-// independently stored product, so degradation walks the plan's fallback
-// order — coarser levels, nearest first — until one reads cleanly.
-func (r *Reader) executeDirect(ctx context.Context, span *obs.Span, pl *plan.Plan) (*View, error) {
-	v, err := r.retrieveDirect(ctx, pl.Steps[0].Level)
-	if err == nil || !r.degradeOn() || !degradable(err) {
-		return v, err
-	}
-	firstErr := err
-	for _, l := range pl.Fallbacks {
-		v, lerr := r.retrieveDirect(ctx, l)
-		if lerr == nil {
-			v.Degradation = newDegradation(pl.Target, l, firstErr, r.boundAt(l))
-			countDegradation(ctx, v.Degradation)
-			span.SetAttrInt("achieved_level", l)
-			span.SetAttr("degraded", "true")
-			return v, nil
-		}
-		if !degradable(lerr) {
-			return nil, lerr
+// fallback is the direct-mode degradation path: the target product failed
+// with cause, so each coarser level of levels is read in turn, nearest
+// first, until one decodes. A non-degradable failure ends the walk with its
+// own error; exhausting the list returns cause.
+func (r *Reader) fallback(ctx context.Context, step int, levels []int, cause error) (*View, error) {
+	for _, l := range levels {
+		v, err := r.decodeLevel(ctx, step, l)
+		if err == nil || !degradable(err) {
+			return v, err
 		}
 	}
-	return nil, firstErr
+	return nil, cause
 }
 
-// retrieveDirect reads level l compressed directly (the §II-B baseline).
-func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
-	ctx, span := obs.StartSpan(ctx, "core.direct")
+// advance moves a view one plan step toward level l. The first step
+// (v == nil) and every direct-mode step decode level l's data product into
+// a new view, which carries the costs already spent; a progressive step
+// refines v in place by one delta. On failure v is returned unchanged.
+func (r *Reader) advance(ctx context.Context, step int, v *View, l int) (*View, error) {
+	if v != nil && r.mode == ModeDelta {
+		return v, r.refine(ctx, step, v)
+	}
+	nv, err := r.decodeLevel(ctx, step, l)
+	if err != nil {
+		return v, err
+	}
+	if v != nil {
+		nv.Timings.Add(v.Timings)
+	}
+	return nv, nil
+}
+
+// decodeLevel reads level l's whole data product into a new view: the base
+// of a progressive read (span core.base), or one independently stored level
+// of a direct read (span core.direct, the §II-B baseline).
+func (r *Reader) decodeLevel(ctx context.Context, step, l int) (*View, error) {
+	name := "core.base"
+	if r.mode == ModeDirect {
+		name = "core.direct"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
 	span.SetAttr("name", r.name)
 	span.SetAttrInt("level", l)
 	defer span.End()
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
+	h, lv, err := r.openLevel(ctx, step, l)
 	if err != nil {
 		return nil, err
 	}
 	span.SetAttr("tier", h.TierName)
-	p, err := fetchProduct(h, l, engine.KindData, 0)
+	data, secs, err := r.decodeData(ctx, h, l, lv.mesh)
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.readMesh(h, l)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{Level: l, Mesh: m, ErrorBound: r.boundAt(l)}
+	v := &View{Level: l, Mesh: lv.mesh, Data: data, ErrorBound: r.boundAt(l)}
 	v.Timings.addHandleIO(ctx, h)
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	v.Data, err = decodeProduct(ctx, r.pool, r.codec, h, l, p.Payload)
-	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
-	dspan.End()
-	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
-	obs.RequestFrom(ctx).AddDecompress(v.Timings.DecompressSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: decompress level %d: %w", l, err)
-	}
+	v.Timings.DecompressSeconds = secs
 	return v, nil
 }
 
-// readMesh returns level l's mesh, decoding it at most once across all
-// concurrent retrievals (single-flight on a cache miss).
-func (r *Reader) readMesh(h *adios.Handle, l int) (*mesh.Mesh, error) {
-	r.mu.RLock()
-	m, ok := r.meshCache[l]
-	r.mu.RUnlock()
-	if ok {
-		return m, nil
-	}
-	v, err := r.flight.Do(fmt.Sprintf("mesh/%d", l), func() (any, error) {
-		r.mu.RLock()
-		m, ok := r.meshCache[l]
-		r.mu.RUnlock()
-		if ok {
-			return m, nil
-		}
-		m, err := fetchMesh(h, l)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.meshCache[l] = m
-		r.mu.Unlock()
-		return m, nil
-	})
+// decodeData fetches level l's data product from h and decodes it — the one
+// decode of a whole base or direct product on every read path — checking
+// that it covers m. The decode time is folded into the metrics and the
+// request here and returned for the caller's PhaseTimings.
+func (r *Reader) decodeData(ctx context.Context, h *adios.Handle, l int, m *mesh.Mesh) ([]float64, float64, error) {
+	p, err := fetchProduct(h, l, engine.KindData, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return v.(*mesh.Mesh), nil
+	dspan := obs.FromContext(ctx).Child("core.decompress")
+	t0 := time.Now()
+	data, err := decodeProduct(ctx, r.pool, r.codec, h, l, p.Payload)
+	secs := time.Since(t0).Seconds()
+	dspan.End()
+	metricDecompressSeconds.Add(secs)
+	obs.RequestFrom(ctx).AddDecompress(secs)
+	if err != nil {
+		return nil, secs, fmt.Errorf("canopus: decompress level %d: %w", l, err)
+	}
+	if len(data) != m.NumVerts() {
+		return nil, secs, fmt.Errorf("canopus: level %d data %d values for %d vertices", l, len(data), m.NumVerts())
+	}
+	return data, secs, nil
 }
 
-// readMapping returns level l's vertex→triangle mapping, decoding it at most
-// once across all concurrent retrievals.
-func (r *Reader) readMapping(h *adios.Handle, l int) (delta.Mapping, error) {
-	r.mu.RLock()
-	mp, ok := r.mappingCache[l]
-	r.mu.RUnlock()
-	if ok {
-		return mp, nil
-	}
-	v, err := r.flight.Do(fmt.Sprintf("mapping/%d", l), func() (any, error) {
-		r.mu.RLock()
-		mp, ok := r.mappingCache[l]
-		r.mu.RUnlock()
-		if ok {
-			return mp, nil
-		}
-		raw, err := fetchDeflated(h, l, engine.KindMapping)
-		if err != nil {
-			return nil, err
-		}
-		mp, _, err = delta.DecodeMapping(raw)
-		if err != nil {
-			return nil, fmt.Errorf("canopus: mapping %d: %w", l, err)
-		}
-		r.mu.Lock()
-		r.mappingCache[l] = mp
-		r.mu.Unlock()
-		return mp, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(delta.Mapping), nil
-}
-
-// readDeltaChunks reads delta tiles from an open level container and
-// scatters the decoded values into out (sized to the fine vertex count).
-// When wantChunks is nil every stored tile is read (full augmentation);
-// otherwise only the listed tile indices are fetched — the focused-read
-// path. have, when non-nil, is marked true for each vertex whose delta was
-// loaded. Decompression time accumulates into decompress.
-func (r *Reader) readDeltaChunks(ctx context.Context, h *adios.Handle, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
-	tb, err := r.tileFrame(h)
+// refine applies one delta to v (toward full accuracy): it fetches level
+// v.Level-1's delta tiles and restores against the view's coarse data
+// (Algorithm 3), in place — the delta buffer becomes the fine data and the
+// per-vertex loop shards over the reader's pool. v is only mutated on
+// success, so a failed refinement leaves a complete view of the coarser
+// level — what degradation returns.
+func (r *Reader) refine(ctx context.Context, step int, v *View) error {
+	l := v.Level - 1
+	ctx, span := obs.StartSpan(ctx, "core.augment")
+	span.SetAttr("name", r.name)
+	span.SetAttrInt("level", l)
+	defer span.End()
+	metricAugments.Inc()
+	h, lv, err := r.openLevel(ctx, step, l)
 	if err != nil {
 		return err
 	}
-	return readDeltaChunksFrom(ctx, r.pool, h, r.codec, tb, level, wantChunks, out, have, decompress)
+	span.SetAttr("tier", h.TierName)
+	d := make([]float64, lv.mesh.NumVerts())
+	var decompress engine.Counter
+	if err := r.readDeltaChunks(ctx, h, lv.tb, l, nil, d, nil, &decompress); err != nil {
+		return err
+	}
+	v.Timings.addHandleIO(ctx, h)
+	v.Timings.DecompressSeconds += decompress.Value()
+
+	rspan := span.Child("core.restore")
+	rspan.SetAttrInt("level", l)
+	t0 := time.Now()
+	fineData, err := delta.RestoreInto(ctx, r.pool, lv.mesh, v.Mesh, v.Data, lv.mapping, d, r.estimator, d)
+	restoreSecs := time.Since(t0).Seconds()
+	rspan.End()
+	v.Timings.RestoreSeconds += restoreSecs
+	metricRestoreSeconds.Add(restoreSecs)
+	obs.RequestFrom(ctx).AddRestore(restoreSecs)
+	if err != nil {
+		return fmt.Errorf("canopus: restore level %d: %w", l, err)
+	}
+	v.Level = l
+	v.Mesh = lv.mesh
+	v.Data = fineData
+	v.ErrorBound = r.boundAt(l)
+	return nil
+}
+
+// dataKey is the storage key of level l's data product: the level
+// container, or step's payload container in the campaign layout.
+func (r *Reader) dataKey(step, l int) string {
+	if r.campaign {
+		return stepKey(r.name, step, l)
+	}
+	return levelKey(r.name, l)
+}
+
+// openLevel opens level l's data container (of step, in the campaign
+// layout) and returns it with the level's hierarchy rung — the shared level
+// loader of every read path.
+func (r *Reader) openLevel(ctx context.Context, step, l int) (*adios.Handle, *rung, error) {
+	h, err := r.aio.Open(ctx, r.dataKey(step, l), 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	lv, err := r.rung(ctx, h, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, lv, nil
+}
+
+// rung returns level l's hierarchy rung, filling it at most once across all
+// concurrent retrievals (single-flight on a miss). A single variable keeps
+// the rung in the level's data container, so it loads from h, the handle
+// the caller already opened, and its bytes land on that read's bill. A
+// campaign keeps it in its own container, whose one-time cost accrues to
+// HierarchyCost instead. A fill cut short — typically by its requester's
+// cancellation — keeps the parts it loaded, so the next fill fetches only
+// the rest; a retrieval that joined a fill its leader abandoned that way
+// leads a fill of its own rather than fail with the leader's cancellation.
+func (r *Reader) rung(ctx context.Context, h *adios.Handle, l int) (*rung, error) {
+	r.mu.RLock()
+	lv := r.rungs[l]
+	r.mu.RUnlock()
+	if lv != nil && lv.full {
+		return lv, nil
+	}
+	for {
+		lv, err := r.fillOnce(ctx, h, l)
+		if err != nil && ctx.Err() == nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue
+		}
+		return lv, err
+	}
+}
+
+// fillOnce runs or joins the single-flight fill of level l's rung.
+func (r *Reader) fillOnce(ctx context.Context, h *adios.Handle, l int) (*rung, error) {
+	got, err := r.flight.Do(strconv.Itoa(l), func() (any, error) {
+		r.mu.RLock()
+		lv := r.rungs[l]
+		r.mu.RUnlock()
+		if lv != nil && lv.full {
+			return lv, nil
+		}
+		src := h
+		if r.campaign {
+			var err error
+			if src, err = r.aio.Open(ctx, hierKey(r.name, l), 1); err != nil {
+				return nil, err
+			}
+		}
+		next := &rung{}
+		if lv != nil {
+			*next = *lv
+		}
+		err := r.fillRung(src, l, next)
+		r.mu.Lock()
+		r.rungs[l] = next
+		if r.campaign {
+			r.hierCost.Add(src.Cost())
+		}
+		r.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return next, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return got.(*rung), nil
+}
+
+// fillRung loads the parts of level l's rung that lv still lacks from an
+// open container, marking it full once every part is present. Delta levels
+// also carry a mapping and must record their tile frame.
+func (r *Reader) fillRung(h *adios.Handle, l int, lv *rung) error {
+	withDelta := r.mode == ModeDelta && l < r.levels-1
+	if withDelta && lv.mapping == nil {
+		raw, err := fetchDeflated(h, l, engine.KindMapping)
+		if err != nil {
+			return err
+		}
+		mp, _, err := delta.DecodeMapping(raw)
+		if err != nil {
+			return fmt.Errorf("canopus: mapping %d: %w", l, err)
+		}
+		lv.mapping = mp
+	}
+	if lv.mesh == nil {
+		m, err := fetchMesh(h, l)
+		if err != nil {
+			return err
+		}
+		lv.mesh = m
+	}
+	if s, ok := h.BP.Attr("tile-frame"); ok {
+		tb, err := parseTileBox(s)
+		if err != nil {
+			return err
+		}
+		lv.tb = tb
+	} else if withDelta {
+		return fmt.Errorf("canopus: level %d container missing tile-frame attribute", l)
+	}
+	lv.full = true
+	return nil
 }
 
 // floatScratchPool recycles the per-shard decode buffers of the tile reader:
@@ -613,18 +687,24 @@ var floatScratchPool = sync.Pool{
 	},
 }
 
-// readDeltaChunksFrom is the container-agnostic tile reader shared by the
-// single-variable Reader and the SeriesReader. The I/O happens first, as one
-// planned pass: the wanted tiles' extents are coalesced per the tier's gap
-// threshold and fetched as a few ranged reads (Handle.ReadManyBytes), so the
-// storage layer sees contiguous range requests instead of one operation per
-// tile. Decoding then fans out on the pool, sharded over tiles: tiles cover
-// disjoint vertex id sets, so concurrent scatters into out and have are
-// race-free, and the restored field does not depend on the worker count.
-// When the container holds fewer tiles than the pool has workers (the
-// Chunks=1 layout), the chunked codec container supplies the parallelism
-// instead: each tile's frame fans out chunk-wise on the same pool.
-func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, tb tileBox, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
+// readDeltaChunks reads level's delta tiles from an open data container,
+// cut in frame tb, and scatters the decoded values into out (sized to the
+// fine vertex count). When wantChunks is nil every stored tile is read (full
+// augmentation); otherwise only the listed tile indices are fetched — the
+// focused-read path. have, when non-nil, is marked true for each vertex
+// whose delta was loaded. Decompression time accumulates into decompress.
+//
+// The I/O happens first, as one planned pass: the wanted tiles' extents are
+// coalesced per the tier's gap threshold and fetched as a few ranged reads
+// (Handle.ReadManyBytes), so the storage layer sees contiguous range
+// requests instead of one operation per tile. Decoding then fans out on the
+// pool, sharded over tiles: tiles cover disjoint vertex id sets, so
+// concurrent scatters into out and have are race-free, and the restored
+// field does not depend on the worker count. When the container holds fewer
+// tiles than the pool has workers (the Chunks=1 layout), the chunked codec
+// container supplies the parallelism instead: each tile's frame fans out
+// chunk-wise on the same pool.
+func (r *Reader) readDeltaChunks(ctx context.Context, h *adios.Handle, tb tileBox, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
 	chunks := wantChunks
 	if chunks == nil {
 		chunks = make([]int, tb.n*tb.n)
@@ -656,11 +736,11 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	// route the pool to whichever axis has the fan-out.
 	var innerPool *engine.Pool
 	workers := 1
-	if pool != nil {
-		workers = pool.Workers()
+	if r.pool != nil {
+		workers = r.pool.Workers()
 	}
 	if len(present) < workers {
-		innerPool = pool
+		innerPool = r.pool
 	}
 	// The decoded-tile cache (when the IO has one attached) serves repeat
 	// decodes of the same tile across requests; hits skip the bit-plane
@@ -673,7 +753,7 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	key := h.Key()
 	var tileHits, tileMisses atomic.Int64
 	t0 := time.Now()
-	err = pool.RunRange(ctx, len(present), func(start, end int) error {
+	err = r.pool.RunRange(ctx, len(present), func(start, end int) error {
 		scratch := floatScratchPool.Get().(*[]float64)
 		defer floatScratchPool.Put(scratch)
 		for i := start; i < end; i++ {
@@ -686,7 +766,7 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 			if tc != nil {
 				var hit bool
 				vals, hit, err = tc.GetOrDecode(key, level, ci, func() ([]float64, error) {
-					return compress.ChunkedDecodeInto(ctx, innerPool, codec, nil, enc)
+					return compress.ChunkedDecodeInto(ctx, innerPool, r.codec, nil, enc)
 				})
 				if hit {
 					tileHits.Add(1)
@@ -694,7 +774,7 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 					tileMisses.Add(1)
 				}
 			} else {
-				vals, err = compress.ChunkedDecodeInto(ctx, innerPool, codec, (*scratch)[:0], enc)
+				vals, err = compress.ChunkedDecodeInto(ctx, innerPool, r.codec, (*scratch)[:0], enc)
 				if err == nil && cap(vals) > cap(*scratch) {
 					*scratch = vals[:0]
 				}
@@ -739,15 +819,6 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	req.AddDecompress(elapsed)
 	req.AddTileCache(tileHits.Load(), tileMisses.Load())
 	return err
-}
-
-// tileFrame parses the tiling frame recorded in a level container.
-func (r *Reader) tileFrame(h *adios.Handle) (tileBox, error) {
-	s, ok := h.BP.Attr("tile-frame")
-	if !ok {
-		return tileBox{}, fmt.Errorf("canopus: container missing tile-frame attribute")
-	}
-	return parseTileBox(s)
 }
 
 // RawReader retrieves the WriteRaw baseline product. Like Reader, it caches

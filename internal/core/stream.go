@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // Streaming refinement: Subscribe turns the progressive retrieval loop
@@ -45,7 +43,7 @@ var (
 //
 // Subscribe returns an error only for an invalid eps.
 func (r *Reader) Subscribe(ctx context.Context, eps float64) (<-chan *View, error) {
-	p, err := r.planner()
+	p, err := r.planner(0)
 	if err != nil {
 		return nil, err
 	}
@@ -53,96 +51,22 @@ func (r *Reader) Subscribe(ctx context.Context, eps float64) (<-chan *View, erro
 	if err != nil {
 		return nil, err
 	}
+	// Sends are unbuffered and every send selects on ctx.Done, so a
+	// cancelled subscriber never strands the goroutine.
 	ch := make(chan *View)
-	go r.stream(ctx, pl, ch)
+	go func() {
+		defer close(ch)
+		r.execute(ctx, opSubscribe, 0, pl, func(v *View) bool {
+			select {
+			case ch <- v:
+				metricStreamViews.Inc()
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
+	}()
 	return ch, nil
-}
-
-// stream executes a streaming plan, sending a snapshot per completed step.
-// Sends are unbuffered and every send selects on ctx.Done, so a cancelled
-// subscriber never strands the goroutine.
-func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
-	defer close(ch)
-	ctx, req, owned := obs.BeginRequest(ctx, "core.subscribe")
-	ctx, span := obs.StartSpan(ctx, "core.subscribe")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("target_level", pl.Target)
-	defer span.End()
-	metricStreams.Inc()
-
-	send := func(v *View) bool {
-		select {
-		case ch <- v:
-			metricStreamViews.Inc()
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-
-	var v *View
-	for i, st := range pl.Steps {
-		var err error
-		switch {
-		case r.mode == ModeDirect:
-			// Direct-mode refinement replaces the view wholesale: each
-			// level is an independently stored product.
-			var nv *View
-			nv, err = r.retrieveDirect(ctx, st.Level)
-			if err == nil {
-				if v != nil {
-					nv.Timings.Add(v.Timings)
-				}
-				v = nv
-			}
-		case i == 0:
-			v, err = r.Base(ctx)
-		default:
-			err = r.Augment(ctx, v)
-		}
-		if err != nil {
-			if ctx.Err() != nil || v == nil || !degradable(err) {
-				// Cancelled, base failure, or a non-storage bug: nothing
-				// more to deliver.
-				return
-			}
-			// Refinement failed but every delivered view is valid: end the
-			// stream with a terminal degradation report at the accuracy
-			// achieved.
-			metricStreamFaults.Inc()
-			d := newDegradation(pl.Target, v.Level, err, r.boundAt(v.Level))
-			d.RequestedTolerance = pl.Tolerance
-			countDegradation(ctx, d)
-			span.SetAttrInt("achieved_level", v.Level)
-			span.SetAttr("degraded", "true")
-			final := snapshotView(v)
-			final.Degradation = d
-			finishView(final, req, owned, span, metricSubscribeSeconds)
-			send(final)
-			return
-		}
-		out := snapshotView(v)
-		if i == len(pl.Steps)-1 {
-			if pl.Unreachable {
-				// The plan already knew eps undercuts the finest recorded
-				// bound: the terminal view reports how close the stream got.
-				out.Degradation = &Degradation{
-					RequestedLevel:     pl.Target,
-					AchievedLevel:      v.Level,
-					RequestedTolerance: pl.Tolerance,
-					Reason: fmt.Sprintf("tolerance %g unreachable: finest recorded bound is %g",
-						pl.Tolerance, v.ErrorBound),
-					ErrorBound: v.ErrorBound,
-				}
-				countDegradation(ctx, out.Degradation)
-			}
-			// The terminal view carries the whole stream's bill.
-			finishView(out, req, owned, span, metricSubscribeSeconds)
-		}
-		if !send(out) {
-			return
-		}
-	}
 }
 
 // snapshotView clones a view for delivery: Data is copied (the stream keeps

@@ -216,21 +216,21 @@ func TestSeriesRetrieveStepToTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sr.Levels() - 1
-	v, err := sr.RetrieveStepToTolerance(context.Background(), 1, sr.boundAt(base))
+	v, err := sr.RetrieveStepToTolerance(context.Background(), 1, sr.r.boundAt(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Level != base || v.Degradation != nil {
 		t.Fatalf("series loose eps: level %d (deg %+v), want base %d", v.Level, v.Degradation, base)
 	}
-	if v.ErrorBound > sr.boundAt(base) {
-		t.Fatalf("series view bound %g exceeds eps %g", v.ErrorBound, sr.boundAt(base))
+	if v.ErrorBound > sr.r.boundAt(base) {
+		t.Fatalf("series view bound %g exceeds eps %g", v.ErrorBound, sr.r.boundAt(base))
 	}
 	if v.Timings.IOBytes >= full.Timings.IOBytes {
 		t.Fatalf("series loose plan moved %dB >= full %dB", v.Timings.IOBytes, full.Timings.IOBytes)
 	}
 	// Tight eps: full accuracy with an unreachable report.
-	tight, err := sr.RetrieveStepToTolerance(context.Background(), 1, sr.boundAt(0)/1e6)
+	tight, err := sr.RetrieveStepToTolerance(context.Background(), 1, sr.r.boundAt(0)/1e6)
 	if err != nil {
 		t.Fatal(err)
 	}

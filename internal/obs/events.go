@@ -113,12 +113,14 @@ func (t EventType) Emit(attrs ...string) {
 		}
 	}
 	e := Event{
-		Seq:          atomic.AddUint64(&evSeq, 1),
 		TimeUnixNano: time.Now().UnixNano(),
 		Type:         t.name,
 		Attrs:        m,
 	}
 	evMu.Lock()
+	// The sequence number is taken under evMu so ring order is Seq order:
+	// taken before the lock, two emitters could append 6 ahead of 5.
+	e.Seq = atomic.AddUint64(&evSeq, 1)
 	if len(evBuf) < evCap {
 		evBuf = append(evBuf, e)
 	} else {
@@ -143,9 +145,9 @@ func SetEventRetention(n int) {
 	}
 	evCap = n
 	evBuf = append(make([]Event, 0, min(n, len(cur)+16)), cur...)
-	if len(evBuf) == evCap {
-		evPos = 0
-	}
+	// cur is oldest-first, so the oldest entry — the next overwrite once
+	// the ring fills — is index 0 whether or not it is full yet.
+	evPos = 0
 }
 
 // snapshotLocked returns retained events oldest-first. Caller holds evMu.

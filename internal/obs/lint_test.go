@@ -33,7 +33,7 @@ var (
 		"plan":     true,
 		"place":    true,
 		"server":   true,
-		"obs":      true, // obs's own tests register under this subsystem
+		"obs":      true, // obs's own instruments and tests
 	}
 )
 

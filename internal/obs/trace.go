@@ -27,6 +27,7 @@ type Span struct {
 	end      time.Time
 	attrs    []attr
 	children []*Span
+	dropped  int64 // children refused past maxChildren
 	root     *Span // self for roots; the tree's root otherwise
 
 	// Roots own a slab the whole tree's spans are carved from. Span-heavy
@@ -39,6 +40,16 @@ type Span struct {
 
 // childBlock is how many child spans are allocated per slab refill.
 const childBlock = 16
+
+// maxChildren caps the children one span keeps. A span that outlives its
+// work (a long-lived root that every loop iteration hangs a child off)
+// would otherwise grow its child list and its tree's slab without bound;
+// past the cap Child returns the nil no-op span and the drop is counted on
+// the parent's dump and in canopus_obs_spans_dropped_total. The cap sits
+// far above any request tree's fan-out.
+const maxChildren = 1024
+
+var metricSpansDropped = NewCounter("canopus_obs_spans_dropped_total")
 
 // attr is one span attribute. Integer values stay unformatted until the
 // span is dumped, so hot paths pay an append instead of strconv + a map
@@ -94,11 +105,20 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // Child opens and returns a sub-span. Safe to call from concurrent
 // goroutines working under one parent (delta tiles decode in parallel).
+// Once s holds maxChildren children, Child drops the new one and returns
+// the nil no-op span.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	start := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.children) >= maxChildren {
+		s.dropped++
+		metricSpansDropped.Inc()
+		return nil
+	}
 	root := s.root
 	root.slabMu.Lock()
 	if len(root.slab) == 0 {
@@ -108,12 +128,10 @@ func (s *Span) Child(name string) *Span {
 	root.slab = root.slab[1:]
 	root.slabMu.Unlock()
 	c.name, c.start, c.root = name, start, root
-	s.mu.Lock()
 	if s.children == nil {
 		s.children = make([]*Span, 0, 8)
 	}
 	s.children = append(s.children, c)
-	s.mu.Unlock()
 	return c
 }
 
@@ -181,6 +199,7 @@ func (s *Span) Duration() time.Duration {
 // SpanDump is the immutable JSON form of a span tree. TraceID is set on
 // root spans only (0 elsewhere) and is the handle latency-histogram
 // exemplars and /debug/trace/slow?id= use to find a pinned tree.
+// DroppedChildren counts the children refused past the per-span cap.
 type SpanDump struct {
 	Name            string            `json:"name"`
 	TraceID         uint64            `json:"trace_id,omitempty"`
@@ -188,6 +207,7 @@ type SpanDump struct {
 	DurationSeconds float64           `json:"duration_seconds"`
 	Attrs           map[string]string `json:"attrs,omitempty"`
 	Children        []SpanDump        `json:"children,omitempty"`
+	DroppedChildren int64             `json:"dropped_children,omitempty"`
 }
 
 // Walk visits the dump and every descendant, depth first.
@@ -214,6 +234,7 @@ func (s *Span) dump() SpanDump {
 		TraceID:         s.id,
 		StartUnixNano:   s.start.UnixNano(),
 		DurationSeconds: s.durationLocked().Seconds(),
+		DroppedChildren: s.dropped,
 	}
 	if len(s.attrs) > 0 {
 		d.Attrs = make(map[string]string, len(s.attrs))

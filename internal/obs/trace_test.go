@@ -131,6 +131,35 @@ func TestDumpWhileTreeGrows(t *testing.T) {
 	root.End()
 }
 
+// TestChildCapDropsAndCounts pins the per-span child cap: children past
+// maxChildren are refused as nil no-op spans, and every refusal is counted
+// on the parent's dump and in canopus_obs_spans_dropped_total.
+func TestChildCapDropsAndCounts(t *testing.T) {
+	_, root := Trace(context.Background(), "capped")
+	before := metricSpansDropped.Value()
+	const extra = 10
+	var nils int
+	for i := 0; i < maxChildren+extra; i++ {
+		c := root.Child("c")
+		if c == nil {
+			nils++
+		}
+		c.Child("grandchild").End() // a dropped child stays a safe no-op
+		c.End()
+	}
+	root.End()
+	d := root.Dump()
+	if len(d.Children) != maxChildren {
+		t.Errorf("root kept %d children, want %d", len(d.Children), maxChildren)
+	}
+	if nils != extra || d.DroppedChildren != extra {
+		t.Errorf("dropped: %d nil spans, dump reports %d, want %d", nils, d.DroppedChildren, extra)
+	}
+	if got := metricSpansDropped.Value() - before; got != extra {
+		t.Errorf("canopus_obs_spans_dropped_total advanced %d, want %d", got, extra)
+	}
+}
+
 func TestTraceRingBounded(t *testing.T) {
 	ResetTraces()
 	for i := 0; i < DefaultTraceRetention+10; i++ {

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # bench.sh — run the end-to-end pipeline benchmark and the ranged-read
 # benchmark, emit the ranged-read results as BENCH_ranged.json, emit the
-# chunked-codec results (intra-product parallel decode plus the ranged-read
-# numbers they move) as BENCH_codec.json, emit span-derived per-phase
-# medians of the fixed observability workload as BENCH_obs.json, emit
-# the error-target retrieval sweep (requested eps vs achieved error vs bytes
-# moved, self-asserting) as BENCH_tolerance.json, emit the Zipfian
-# static-vs-adaptive placement comparison as BENCH_placement.json, and emit
-# the multi-tenant serving load bench as BENCH_serve.json.
+# chunked-codec results (intra-product parallel decode) as BENCH_codec.json,
+# emit span-derived per-phase medians of the fixed observability workload
+# as BENCH_obs.json, emit the error-target retrieval sweep (requested eps
+# vs achieved error vs bytes moved, self-asserting) as BENCH_tolerance.json,
+# emit the Zipfian static-vs-adaptive placement comparison as
+# BENCH_placement.json, and emit the multi-tenant serving load bench as
+# BENCH_serve.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime  value for go test -benchtime (default 1x for a quick sweep;
@@ -53,19 +53,19 @@ echo "wrote $OUT"
 
 # BENCH_codec.json: the chunked-codec micro-benchmarks (encode/decode of one
 # large product through the v2 frame, per codec and worker count, against
-# the unframed v1 baseline) plus the ranged-read cases re-used from the run
-# above — the end-to-end numbers the codec path is accountable for.
+# the unframed v1 baseline). The end-to-end ranged-read numbers the codec
+# path is accountable for are in BENCH_ranged.json above.
 CODEC_OUT="BENCH_codec.json"
 CODEC_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$CODEC_RAW"' EXIT
 
-go test -run '^$' -bench 'BenchmarkChunked|BenchmarkV1Decode|BenchmarkZFP2DDecode' \
+go test -run '^$' -bench 'BenchmarkChunked|BenchmarkV1Decode' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/compress | tee "$CODEC_RAW"
 
 {
 	printf '{"codec":'
 	awk '
-	/^Benchmark(Chunked|V1Decode|ZFP2DDecode)/ {
+	/^Benchmark(Chunked|V1Decode)/ {
 		name = $1
 		ns = ""; mbs = ""; bytes = ""; allocs = ""
 		for (i = 2; i <= NF; i++) {
@@ -80,8 +80,6 @@ go test -run '^$' -bench 'BenchmarkChunked|BenchmarkV1Decode|BenchmarkZFP2DDecod
 	BEGIN { printf "[" }
 	END { printf "]" }
 	' "$CODEC_RAW"
-	printf ',\n "ranged_read":'
-	cat "$OUT"
 	printf '}\n'
 } > "$CODEC_OUT"
 
